@@ -226,17 +226,6 @@ func BenchmarkCapacity(b *testing.B) {
 
 // --- substrate micro-benchmarks ---------------------------------------------
 
-func BenchmarkPolicyRoute(b *testing.B) {
-	ce := topo.BuildCentralEurope()
-	pr := routing.NewPolicyRouter(ce.Net)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pr.Route(ce.UPFVienna, ce.ProbeUni); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkShortestDelay(b *testing.B) {
 	ce := topo.BuildCentralEurope()
 	b.ResetTimer()

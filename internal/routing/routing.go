@@ -250,12 +250,28 @@ type asRoute struct {
 
 // PolicyRouter computes valley-free AS-level routes and expands them to
 // router-level paths over the wired graph.
+//
+// Route memoizes its results per (src, dst) node pair. The memo is
+// dropped whenever the network's epoch (topo.Network.Epoch) moves, so
+// AddNode, Connect, Link.Fail and Link.Restore are seen by the next
+// Route. Link.DistKm, Link.Util and Node.ProcDelay are not tracked and
+// must not change once routes have been computed. A router is not safe
+// for concurrent use.
 type PolicyRouter struct {
 	nw *topo.Network
 	// asAdj[asn] lists inter-AS adjacencies with their relationship as
 	// read from asn's side, and the concrete border links implementing
 	// each adjacency.
 	asAdj map[int]map[int]*asAdjacency
+	// memo holds Route results keyed by (src.ID, dst.ID), computed at
+	// network epoch memoEpoch.
+	memo      map[[2]int]memoRoute
+	memoEpoch uint64
+}
+
+type memoRoute struct {
+	path Path
+	err  error
 }
 
 type asAdjacency struct {
@@ -276,7 +292,12 @@ func (a *asAdjacency) usable() bool {
 
 // NewPolicyRouter indexes the network's AS-level structure.
 func NewPolicyRouter(nw *topo.Network) *PolicyRouter {
-	pr := &PolicyRouter{nw: nw, asAdj: make(map[int]map[int]*asAdjacency)}
+	pr := &PolicyRouter{
+		nw:        nw,
+		asAdj:     make(map[int]map[int]*asAdjacency),
+		memo:      make(map[[2]int]memoRoute),
+		memoEpoch: nw.Epoch(),
+	}
 	for _, l := range nw.Links() {
 		if l.Rel == topo.RelInternal {
 			continue
@@ -440,7 +461,28 @@ func (pr *PolicyRouter) ASPath(srcAS, dstAS *topo.AS) ([]*topo.AS, error) {
 // the ingress router to the chosen egress border router; across ASes it
 // picks the border link minimizing (distance to egress + link delay),
 // a deterministic cold-potato approximation.
+//
+// Results are memoized until the network's epoch moves. The returned
+// slices are shared with the memo: appending to them is safe (their
+// capacity is clipped), writing their elements is not.
 func (pr *PolicyRouter) Route(src, dst *topo.Node) (Path, error) {
+	if e := pr.nw.Epoch(); e != pr.memoEpoch {
+		clear(pr.memo)
+		pr.memoEpoch = e
+	}
+	key := [2]int{src.ID, dst.ID}
+	if m, ok := pr.memo[key]; ok {
+		return m.path, m.err
+	}
+	p, err := pr.route(src, dst)
+	p.Nodes = p.Nodes[:len(p.Nodes):len(p.Nodes)]
+	p.Links = p.Links[:len(p.Links):len(p.Links)]
+	pr.memo[key] = memoRoute{p, err}
+	return p, err
+}
+
+// route computes Route's result afresh.
+func (pr *PolicyRouter) route(src, dst *topo.Node) (Path, error) {
 	if src.AS == nil || dst.AS == nil {
 		return Path{}, errors.New("routing: host without AS")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,6 +32,20 @@ var simGoldenGrids = []Grid{
 // sha256 of its JSONL record is compared with the checked-in digest, one
 // line per scenario so a mismatch names the scenario that moved.
 func TestSimulationOutputGolden(t *testing.T) {
+	gt := reflect.TypeOf(Grid{})
+	for i := 0; i < gt.NumField(); i++ {
+		if gt.Field(i).Type.Kind() != reflect.Slice {
+			continue
+		}
+		exercised := false
+		for _, g := range simGoldenGrids {
+			exercised = exercised || reflect.ValueOf(g).Field(i).Len() > 0
+		}
+		if !exercised {
+			t.Fatalf("Grid axis %s is not exercised by simGoldenGrids", gt.Field(i).Name)
+		}
+	}
+
 	var b strings.Builder
 	for _, g := range simGoldenGrids {
 		res, err := Run(g, Options{Workers: 2})

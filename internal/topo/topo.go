@@ -123,13 +123,16 @@ type Link struct {
 	Rel  Rel // relationship read from A's side
 	// down marks a failed link; both routing regimes skip it.
 	down bool
+	// nw is the network Connect added the link to; Fail and Restore
+	// bump its epoch.
+	nw *Network
 }
 
 // Fail takes the link out of service (fibre cut, maintenance).
-func (l *Link) Fail() { l.down = true }
+func (l *Link) Fail() { l.down = true; l.nw.epoch++ }
 
 // Restore returns the link to service.
-func (l *Link) Restore() { l.down = false }
+func (l *Link) Restore() { l.down = false; l.nw.epoch++ }
 
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return !l.down }
@@ -188,6 +191,7 @@ type Network struct {
 	byName map[string]*Node
 	ases   map[int]*AS
 	nextID int
+	epoch  uint64
 }
 
 // NewNetwork returns an empty graph.
@@ -209,6 +213,14 @@ func (nw *Network) AddAS(asn int, name string) *AS {
 	return a
 }
 
+// Epoch returns a counter that changes whenever the graph's routing
+// inputs do: AddNode, Connect, Link.Fail and Link.Restore each bump it.
+// Routing memos (routing.PolicyRouter) are invalidated by it. The plain
+// fields Link.DistKm, Link.Util and Node.ProcDelay are not tracked: they
+// must not change after routes have been computed over the network. A
+// network, like the routers over it, is not safe for concurrent use.
+func (nw *Network) Epoch() uint64 { return nw.epoch }
+
 // AS returns a registered AS by number, or nil.
 func (nw *Network) AS(asn int) *AS { return nw.ases[asn] }
 
@@ -222,6 +234,7 @@ func (nw *Network) AddNode(n *Node) *Node {
 	}
 	n.ID = nw.nextID
 	nw.nextID++
+	nw.epoch++
 	nw.nodes = append(nw.nodes, n)
 	nw.byName[n.Name] = n
 	return n
@@ -242,7 +255,8 @@ func (nw *Network) Connect(a, b *Node, distKm float64, rel Rel, capacityGbps, ut
 	if rel != RelInternal && a.AS == b.AS {
 		panic("topo: external relationship inside one AS")
 	}
-	l := &Link{A: a, B: b, DistKm: distKm, Rel: rel, CapacityGbps: capacityGbps, Util: util}
+	l := &Link{A: a, B: b, DistKm: distKm, Rel: rel, CapacityGbps: capacityGbps, Util: util, nw: nw}
+	nw.epoch++
 	nw.links = append(nw.links, l)
 	nw.adj[a.ID] = append(nw.adj[a.ID], l)
 	nw.adj[b.ID] = append(nw.adj[b.ID], l)
